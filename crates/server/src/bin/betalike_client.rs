@@ -387,6 +387,11 @@ fn pipeline_requests(client_id: usize, depth: usize) -> Vec<String> {
 /// transcript, then written all at once — the responses must come back
 /// byte-identical, in request order, each echoing its request's
 /// `trace_id`.
+///
+/// The serial connection is closed before the pipelined one opens: the
+/// server's workers are sticky, so a client holding both would park one
+/// worker on an idle connection, and more clients than workers would
+/// deadlock with every pipelined connection stuck in the admission queue.
 fn pipeline_once(addr: &str, client_id: usize, depth: usize) -> Result<(), Failure> {
     let lines = pipeline_requests(client_id, depth);
     let mut serial =
@@ -397,6 +402,7 @@ fn pipeline_once(addr: &str, client_id: usize, depth: usize) -> Result<(), Failu
             Failure::from(format!("client {client_id}: serial reference failed: {e}"))
         })?);
     }
+    drop(serial);
     let mut piped =
         Client::connect(addr).map_err(|e| Failure::from(format!("connect {addr}: {e}")))?;
     let answers = piped

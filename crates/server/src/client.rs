@@ -182,13 +182,12 @@ impl Client {
     }
 
     /// *Pipelines* a batch: writes every request line up front, then
-    /// reads exactly one response line per request, in order. Against an
-    /// event-driven server (`--event-loops`) the requests are serviced
-    /// concurrently while responses still come back in request order
-    /// (DESIGN.md §15); against a threaded server this degrades
-    /// gracefully to serial service over one round trip. Response lines
-    /// are returned raw (no trailing newline), so byte-identity tests
-    /// can compare them against [`Client::call_raw`] transcripts.
+    /// reads exactly one response line per request, in order. The
+    /// server's worker answers the batch serially, in request order
+    /// (DESIGN.md §15), so the batch costs one round trip instead of one
+    /// per request. Response lines are returned raw (no trailing
+    /// newline), so byte-identity tests can compare them against
+    /// [`Client::call_raw`] transcripts.
     ///
     /// # Errors
     ///

@@ -29,19 +29,14 @@
 //! See `DESIGN.md` §8–§9 for the architecture and the README "Serving" /
 //! "Durable publications" quickstarts for worked sessions.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 // Backstops betalike-lint rule P1 (request/decode paths are panic-free)
 // with rustc's own machinery; test code is exempt, matching P1's scope.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod artifact;
 pub mod client;
 pub mod conn;
-pub mod event;
 pub(crate) mod obs;
 pub mod persist;
 pub mod registry;
@@ -51,7 +46,6 @@ pub mod wire;
 
 pub use client::{retry_call, with_retries, Client, ClientError, CountReply, PublishReply};
 pub use conn::{Conn, FramedRequest, DEFAULT_MAX_LINE_BYTES};
-pub use event::MAX_PIPELINE_INFLIGHT;
 pub use registry::{Dataset, DatasetSpec, Registry};
 pub use server::{serve, LocalServer, ServerConfig, ServerHandle};
 pub use wire::{Algo, CountRequest, PublishRequest};

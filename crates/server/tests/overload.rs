@@ -1,5 +1,6 @@
 //! Overload, degraded-mode, and timeout behavior of the server
-//! (DESIGN.md §12): bounded admission with explicit `overloaded` sheds,
+//! (DESIGN.md §12): bounded admission with explicit `overloaded` sheds
+//! (parseable even while admitted connections are mid-pipeline),
 //! read-only degraded mode driven by an injected chaos filesystem,
 //! deadline-bounded publishes, idle/mid-request timeouts, the
 //! shutdown-latency contract, and the `betalike-client --retries` path
@@ -318,6 +319,79 @@ fn shutdown_latency_is_bounded_by_the_read_tick() {
         "shutdown with idle workers took {elapsed:?} (tick is 25ms)"
     );
     drop(parked);
+}
+
+/// Sheds stay parseable while admitted connections are mid-pipeline: a
+/// full-capacity server (1 worker + 1 queue slot) whose worker is busy
+/// with a deep pipelined batch and whose queue holds another refuses the
+/// next arrival with the exact `overloaded` line, and both pipelines
+/// still complete in order once their turn comes.
+#[test]
+fn sheds_are_parseable_mid_pipeline_and_pipelines_complete() {
+    let server = serve(&ServerConfig {
+        threads: 1,
+        queue: 1,
+        read_timeout_ms: 25,
+        ..Default::default()
+    })
+    .expect("bind");
+    let addr = server.addr();
+
+    // Two admitted connections each write a depth-32 pipelined batch.
+    // The first reply on the first connection proves the worker owns it
+    // before the second connects, so the second is the one waiting in
+    // the queue (not shed by a worker that had yet to pick up the first).
+    let depth = 32;
+    let mut busy = Vec::new();
+    for c in 0..2 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_millis(10000)))
+            .expect("timeout");
+        let batch: String = (0..depth)
+            .map(|i| format!("{{\"op\":\"ping\",\"trace_id\":\"c{c}-{i}\"}}\n"))
+            .collect();
+        stream.write_all(batch.as_bytes()).expect("write batch");
+        let mut reader = BufReader::new(stream);
+        if c == 0 {
+            let mut first = String::new();
+            reader.read_line(&mut first).expect("first pipelined reply");
+            let doc = Json::parse(first.trim()).expect("reply parses");
+            assert_eq!(doc.get("trace_id").and_then(Json::as_str), Some("c0-0"));
+        }
+        busy.push(reader);
+    }
+
+    // The third arrival sheds mid-pipeline, parseably.
+    let mut extra = TcpStream::connect(addr).expect("connect extra");
+    extra
+        .set_read_timeout(Some(Duration::from_millis(2000)))
+        .expect("timeout");
+    extra.write_all(b"{\"op\":\"ping\"}\n").expect("write ping");
+    let mut reader = BufReader::new(extra);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("shed reply");
+    let doc = Json::parse(line.trim()).expect("shed reply parses");
+    assert_eq!(doc.get("code").and_then(Json::as_str), Some("overloaded"));
+    assert_eq!(doc.get("retryable").and_then(Json::as_bool), Some(true));
+
+    // Both pipelines drain completely, responses in request order. Each
+    // reader is dropped after its batch, which frees the sticky worker
+    // for the queued connection.
+    for (c, mut reader) in busy.into_iter().enumerate() {
+        let skip = if c == 0 { 1 } else { 0 };
+        for i in skip..depth {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("pipelined reply");
+            let doc = Json::parse(line.trim()).expect("reply parses");
+            assert_eq!(
+                doc.get("trace_id").and_then(Json::as_str),
+                Some(format!("c{c}-{i}").as_str()),
+                "client {c} response {i} out of order: {line}"
+            );
+        }
+    }
+    server.shutdown_and_join();
 }
 
 /// End-to-end retry proof: the real `betalike-client smoke` binary, run

@@ -30,14 +30,10 @@
 //! `gc`) operates on a data directory without a running server; see the
 //! README's "Durable publications" quickstart and `DESIGN.md` §9.
 
-// Backstops betalike-lint rule P2: stronger than the workspace-level
-// `unsafe_code = "deny"` because `forbid` cannot be overridden locally.
-#![forbid(unsafe_code)]
 // Backstops betalike-lint rule P1 (request/decode paths are panic-free)
 // with rustc's own machinery; test code is exempt, matching P1's scope.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
 
 pub mod bpub;
 pub mod btbl;
